@@ -153,7 +153,7 @@ class AStarMatcher:
     def _search(self, probe) -> MatchOutcome:
         model = self.model
         stats = SearchStats()
-        order: list[Event] = model.index.expansion_order(model.source_events)
+        order: list[Event] = model.search_order
         targets: list[Event] = list(model.target_events)
         goal_depth = min(len(order), len(targets))
         started = time.monotonic()
@@ -273,9 +273,9 @@ class AStarMatcher:
                         stats.extra.get("dropped_on_pop", 0) + 1
                     )
                     continue
+            used_targets = set(mapping.values())
             if not h_exact:
-                used = set(mapping.values())
-                remaining = [t for t in targets if t not in used]
+                remaining = [t for t in targets if t not in used_targets]
                 refreshed = g + model.h(mapping, remaining)
                 if refreshed < -negative_key - 1e-12:
                     # The exact key is lower: re-queue and let the
@@ -304,7 +304,6 @@ class AStarMatcher:
                 )
 
             source = order[depth]
-            used_targets = set(mapping.values())
             child_depth = depth + 1
             parent_h = -negative_key - g if h_exact else refreshed - g
             candidates = (

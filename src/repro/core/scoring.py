@@ -12,6 +12,7 @@ search's functions, as in the paper.
 from __future__ import annotations
 
 from collections.abc import Collection, Iterable, Mapping as MappingABC, Sequence
+from typing import NamedTuple
 
 from repro.core.bounds import BoundKind, TargetCaps
 from repro.core.distance import frequency_similarity
@@ -61,6 +62,49 @@ def build_pattern_set(
             patterns.append(pattern)
             existing.add(pattern)
     return patterns
+
+
+#: Caps on the two caches keyed by arbitrary mapping shapes: bound plans
+#: for mapped-source sets that are not a prefix of the search order, and
+#: memoized pattern contributions.  Models in the warm pool live across
+#: jobs, so a full cache starts over instead of growing.  Prefix plans
+#: need no cap: there is one per depth.
+_PLAN_CACHE_MAX = 1024
+_CONTRIBUTION_MEMO_MAX = 1 << 15
+
+#: Memo value of a contribution the Proposition 3 existence rule pruned
+#: (real contributions lie in [0, 1]).
+_PRUNED = -1.0
+
+#: Which ends of a mandatory edge a bound plan has mapped.
+_BOTH_MAPPED, _SOURCE_MAPPED, _TARGET_MAPPED = 0, 1, 2
+
+#: A cap shape: ``(ω, |V(p)| >= 2, mapped events, mandatory edges)``.
+#: Each edge with a mapped end is ``(_BOTH_MAPPED, source, target)``, or
+#: ``(_SOURCE_MAPPED | _TARGET_MAPPED, mapped end, "")`` since a one-ended
+#: cap depends only on that end's image.
+_CapShape = tuple[
+    int, bool, tuple[Event, ...], tuple[tuple[int, Event, Event], ...]
+]
+
+
+class _BoundPlan(NamedTuple):
+    """The part of :meth:`ScoreModel.h` fixed by the mapped-source set.
+
+    A row's frequency cap depends on its ω, its size, which of its
+    events are mapped and which ends of its mandatory edges are — all
+    fixed by the mapped-source set — plus per-call images and caps.
+    Rows that agree on the fixed part share one *shape*, whose cap a
+    call computes once.
+
+    ``unfinished`` counts the rows not fully mapped (the SIMPLE bound).
+    ``rows`` keeps, in pattern order, each row that can still contribute
+    as ``(f1, index into shapes)``.
+    """
+
+    unfinished: int
+    shapes: tuple[_CapShape, ...]
+    rows: tuple[tuple[float, int], ...]
 
 
 def _mandatory_edges(pattern: Pattern) -> tuple[tuple[Event, Event], ...]:
@@ -210,6 +254,34 @@ class ScoreModel:
             )
             for pattern in patterns
         )
+        #: The §3.1 expansion order: a search node at depth ``d`` maps
+        #: exactly ``search_order[:d]``, so the plans below are per depth.
+        self.search_order: list[Event] = self.index.expansion_order(
+            self.source_events
+        )
+        self._prefix_sets: tuple[frozenset[Event], ...] = tuple(
+            frozenset(self.search_order[:depth])
+            for depth in range(len(self.search_order) + 1)
+        )
+        self._depth_plans: list[_BoundPlan | None] = [None] * len(
+            self._prefix_sets
+        )
+        self._subset_plans: dict[tuple[frozenset[Event], int], _BoundPlan] = {}
+        #: Per depth: the patterns mapping ``search_order[depth]`` completes.
+        self._completed_plans: list[tuple | None] = [None] * len(
+            self.search_order
+        )
+        # Contribution memo: (row, images) -> d(p), or _PRUNED.  Valid
+        # while evaluator_2's own memo is (same epoch), so a hit can
+        # replay exactly what the evaluator would have done.
+        self._memo_rows: dict[
+            Pattern, tuple[int, Pattern, tuple[Event, ...]]
+        ] = {
+            pattern: (row, pattern, tuple(self._event_sets[pattern]))
+            for row, pattern in enumerate(self.patterns)
+        }
+        self._contributions: dict[tuple, float] = {}
+        self._memo_epoch = self.evaluator_2.memo_epoch
 
     def restricted(
         self,
@@ -270,11 +342,21 @@ class ScoreModel:
         the mapped pattern graph is missing from ``G2``, ``f2(M(p)) = 0``
         and the trace scan is skipped entirely.
         """
+        value = self._evaluate_contribution(pattern, mapping, stats)
+        return 0.0 if value == _PRUNED else value
+
+    def _evaluate_contribution(
+        self,
+        pattern: Pattern,
+        mapping: MappingABC[Event, Event],
+        stats: SearchStats | None,
+    ) -> float:
+        """``d(p)``, or ``_PRUNED`` when the existence rule applied."""
         for source, target in self._pattern_edges[pattern]:
             if not self.graph_2.has_edge(mapping[source], mapping[target]):
                 if stats is not None:
                     stats.pruned_by_existence += 1
-                return 0.0
+                return _PRUNED
         frequency_2 = self.evaluator_2.mapped_frequency(pattern, mapping)
         return frequency_similarity(self._f1[pattern], frequency_2)
 
@@ -287,11 +369,61 @@ class ScoreModel:
         """Σ d(p) over patterns newly completed by mapping ``new_source``.
 
         ``mapping_after`` must already contain ``new_source`` (Section
-        3.2's incremental computation of ``g``).
+        3.2's incremental computation of ``g``).  When it maps a prefix
+        of :attr:`search_order` (every A* node), the completed patterns
+        come from a per-depth list compiled once; other shapes ask the
+        ``I_p`` index.  Each ``d(p)`` is memoized by the images of the
+        pattern's events; a memo hit repeats the side effects the full
+        evaluation would have had at that point (the existence-pruning
+        count, or the evaluator's staleness check and cache-hit probe
+        event), so counters and errors are those of an unmemoized run.
         """
+        depth = len(mapping_after) - 1
+        order = self.search_order
+        if (
+            0 <= depth < len(order)
+            and order[depth] == new_source
+            and mapping_after.keys() == self._prefix_sets[depth + 1]
+        ):
+            completed = self._completed_plans[depth]
+            if completed is None:
+                completed = self._completed_plans[depth] = tuple(
+                    self._memo_rows[pattern]
+                    for pattern in self.index.newly_completed(
+                        new_source, self._prefix_sets[depth + 1]
+                    )
+                )
+        else:
+            completed = [
+                self._memo_rows[pattern]
+                for pattern in self.index.newly_completed(
+                    new_source, mapping_after.keys()
+                )
+            ]
+        evaluator_2 = self.evaluator_2
+        if self._memo_epoch != evaluator_2.memo_epoch:
+            self._contributions.clear()
+            self._memo_epoch = evaluator_2.memo_epoch
+        memo = self._contributions
+        replay = evaluator_2.hit_replay()
         increment = 0.0
-        for pattern in self.index.newly_completed(new_source, mapping_after.keys()):
-            increment += self.contribution(pattern, mapping_after, stats)
+        for row, pattern, events in completed:
+            key = (row, *[mapping_after[event] for event in events])
+            value = memo.get(key)
+            if value is None:
+                value = self._evaluate_contribution(
+                    pattern, mapping_after, stats
+                )
+                if len(memo) >= _CONTRIBUTION_MEMO_MAX:
+                    memo.clear()
+                memo[key] = value
+            elif value != _PRUNED:
+                if replay is not None:
+                    replay()
+            elif stats is not None:
+                stats.pruned_by_existence += 1
+            if value != _PRUNED:
+                increment += value
         return increment
 
     def g(
@@ -310,6 +442,67 @@ class ScoreModel:
     # ------------------------------------------------------------------
     # h: optimistic bound on the remainder
     # ------------------------------------------------------------------
+    def _bound_plan(
+        self, mapping: MappingABC[Event, Event], num_unmapped: int
+    ) -> _BoundPlan:
+        """The compiled plan for ``mapping``'s source set.
+
+        A prefix of :attr:`search_order` with the matching unmapped count
+        (every A* node, shard and per-block search) is looked up by
+        depth; any other shape (the heuristics) goes through a bounded
+        cache keyed by the mapped set.
+        """
+        depth = len(mapping)
+        if (
+            depth < len(self._prefix_sets)
+            and num_unmapped == self._num_targets - depth
+            and mapping.keys() == self._prefix_sets[depth]
+        ):
+            plan = self._depth_plans[depth]
+            if plan is None:
+                plan = self._depth_plans[depth] = self._compile_bound_plan(
+                    self._prefix_sets[depth], num_unmapped
+                )
+            return plan
+        key = (frozenset(mapping), num_unmapped)
+        plan = self._subset_plans.get(key)
+        if plan is None:
+            if len(self._subset_plans) >= _PLAN_CACHE_MAX:
+                self._subset_plans.clear()
+            plan = self._subset_plans[key] = self._compile_bound_plan(*key)
+        return plan
+
+    def _compile_bound_plan(
+        self, mapped: frozenset[Event], num_unmapped: int
+    ) -> _BoundPlan:
+        unfinished = 0
+        shape_index: dict[_CapShape, int] = {}
+        rows = []
+        for events, frequency_1, omega, mandatory, size in self._h_rows:
+            if events <= mapped:
+                continue
+            unfinished += 1
+            mapped_events = tuple(sorted(events & mapped))
+            if size > num_unmapped + len(mapped_events):
+                continue  # Δ = 0: the pattern no longer fits (Algorithm 2, Line 2)
+            if frequency_1 == 0.0:
+                continue  # d(p) = sim(0, f2) = 0 whatever happens
+            edges = []
+            for source, target in mandatory:
+                if source in mapped and target in mapped:
+                    edges.append((_BOTH_MAPPED, source, target))
+                elif source in mapped:
+                    edges.append((_SOURCE_MAPPED, source, ""))
+                elif target in mapped:
+                    edges.append((_TARGET_MAPPED, target, ""))
+            shape = (
+                omega, size >= 2, mapped_events, tuple(sorted(set(edges)))
+            )
+            rows.append(
+                (frequency_1, shape_index.setdefault(shape, len(shape_index)))
+            )
+        return _BoundPlan(unfinished, tuple(shape_index), tuple(rows))
+
     def h(
         self,
         mapping: MappingABC[Event, Event],
@@ -321,9 +514,13 @@ class ScoreModel:
         ``M(V(p) ∩ mapped) ∪ unmapped_targets`` (Section 3.3); the bound
         kind configured on the model estimates ``Δ(p, ·)`` over that set.
 
-        This is the search hot path, so the per-call parts of the bound
-        (max vertex weight over the unmapped targets, their count) are
-        computed once and the per-pattern parts inline
+        This is the search hot path.  Which rows are finished, which no
+        longer fit and which events of a partial row are mapped depend
+        only on the mapped-source set, so they come from a compiled
+        :class:`_BoundPlan` (see :meth:`_bound_plan`); a call only looks
+        up images and caps.  The per-call parts of the bound (max vertex
+        weight over the unmapped targets, their count) are computed once
+        and the per-pattern parts inline
         :func:`~repro.core.bounds.upper_bound` rather than calling it.
 
         When the unmapped set is exactly "all targets minus the mapped
@@ -334,11 +531,15 @@ class ScoreModel:
         values are identical to the rescan on that call pattern; an
         arbitrary subset (possible through the public API) falls back to
         the exact induced scan.
+
+        Rows are summed in pattern order with sequential ``+=``, so the
+        result is bit-identical to a scan over every row.
         """
-        mapped = mapping.keys()
         if self.bound is BoundKind.SIMPLE:
             return float(
-                sum(1 for row in self._h_rows if not row[0] <= mapped)
+                self._bound_plan(
+                    mapping, self._num_targets - len(mapping)
+                ).unfinished
             )
 
         graph_2 = self.graph_2
@@ -373,14 +574,13 @@ class ScoreModel:
             # once per call; per pattern only the edges incident to that
             # pattern's images can push it higher.
             if fast:
-                unmapped_edge_max = caps.max_edge_excluding(mapped_values)
+                first_edge_component = caps.max_edge_excluding(mapped_values)
             else:
-                unmapped_edge_max = graph_2.max_edge_weight(unmapped_set)
+                first_edge_component = graph_2.max_edge_weight(unmapped_set)
+        else:
+            first_edge_component = self._global_max_edge_2
 
-        # Patterns with no mapped event share one cap per (ω, size) within
-        # a call — cache it instead of recomputing per pattern.
-        no_image_cap: dict[int, float] = {}
-        # Incident-edge maxima recur across patterns sharing an event;
+        # Incident-edge maxima recur across shapes sharing an event;
         # cache them per call.  The generic incident max is taken against
         # unmapped ∪ *all* images (a superset of any one pattern's
         # availability — weaker but admissible, and cacheable per image).
@@ -392,113 +592,88 @@ class ScoreModel:
         placed_out_cache: dict[Event, float] = {}
         placed_in_cache: dict[Event, float] = {}
 
-        mapping_get = mapping.get
-        total = 0.0
-        for events, frequency_1, omega, mandatory, size in self._h_rows:
-            if events <= mapped:
-                continue
-            images = [mapping[event] for event in events if event in mapped]
-            if size > num_unmapped + len(images):
-                continue  # Δ = 0: the pattern no longer fits (Algorithm 2, Line 2)
-            if frequency_1 == 0.0:
-                continue  # d(p) = sim(0, f2) = 0 whatever happens
-
-            if not images:
-                if size >= 2:
-                    cap = no_image_cap.get(omega)
-                    if cap is None:
-                        edge_max = (
-                            unmapped_edge_max
-                            if exact_edges
-                            else self._global_max_edge_2
-                        )
-                        cap = min(base_vertex_cap, omega * edge_max)
-                        no_image_cap[omega] = cap
-                else:
-                    cap = base_vertex_cap
-                if cap <= frequency_1:
-                    total += frequency_similarity(frequency_1, cap)
-                else:
-                    total += 1.0
-                continue
-
+        plan = self._bound_plan(mapping, num_unmapped)
+        vertex_weight = graph_2.vertex_weight
+        shape_caps = []
+        for omega, multi, mapped_events, edges in plan.shapes:
             # Vertex cap: f2(M(p)) ≤ f2(M(v)) for every event of the
             # pattern — the image's exact frequency when v is mapped, at
             # best the largest unmapped-target frequency otherwise.
             vertex_cap = base_vertex_cap
-            for image in images:
-                weight = graph_2.vertex_weight(image)
+            if not multi:
+                # Single-event rows left in a plan have no image.
+                shape_caps.append(vertex_cap)
+                continue
+            edge_component = first_edge_component
+            for event in mapped_events:
+                image = mapping[event]
+                weight = vertex_weight(image)
                 if weight < vertex_cap:
                     vertex_cap = weight
-
-            if size >= 2:
-                # Mandatory edges occur in *every* allowed order, so each
-                # order's instance frequency is capped by the edge's
-                # placed frequency; summing over ω(p) orders caps f2.
                 if exact_edges:
-                    edge_component = unmapped_edge_max
-                    for image in images:
-                        incident = incident_cache.get(image)
-                        if incident is None:
-                            if fast:
-                                incident = caps.incident_max(image)
-                            else:
-                                incident = max(
-                                    graph_2.max_outgoing_weight(
-                                        image, all_candidates
-                                    ),
-                                    graph_2.max_incoming_weight(
-                                        image, all_candidates
-                                    ),
-                                )
-                            incident_cache[image] = incident
-                        if incident > edge_component:
-                            edge_component = incident
+                    incident = incident_cache.get(image)
+                    if incident is None:
+                        if fast:
+                            incident = caps.incident_max(image)
+                        else:
+                            incident = max(
+                                graph_2.max_outgoing_weight(
+                                    image, all_candidates
+                                ),
+                                graph_2.max_incoming_weight(
+                                    image, all_candidates
+                                ),
+                            )
+                        incident_cache[image] = incident
+                    if incident > edge_component:
+                        edge_component = incident
+            # Mandatory edges occur in *every* allowed order, so each
+            # order's instance frequency is capped by the edge's placed
+            # frequency; summing over ω(p) orders caps f2.
+            for kind, end, other in edges:
+                if kind == _BOTH_MAPPED:
+                    placed = graph_2.edge_weight_or_zero(
+                        mapping[end], mapping[other]
+                    )
+                elif kind == _SOURCE_MAPPED:
+                    image = mapping[end]
+                    placed = placed_out_cache.get(image)
+                    if placed is None:
+                        if fast:
+                            placed = caps.max_outgoing_excluding(
+                                image, mapped_values
+                            )
+                        else:
+                            placed = graph_2.max_outgoing_weight(
+                                image, unmapped_set
+                            )
+                        placed_out_cache[image] = placed
                 else:
-                    edge_component = self._global_max_edge_2
-                for source, target in mandatory:
-                    source_image = mapping_get(source)
-                    target_image = mapping_get(target)
-                    if source_image is not None and target_image is not None:
-                        placed = graph_2.edge_weight_or_zero(
-                            source_image, target_image
-                        )
-                    elif source_image is not None:
-                        placed = placed_out_cache.get(source_image)
-                        if placed is None:
-                            if fast:
-                                placed = caps.max_outgoing_excluding(
-                                    source_image, mapped_values
-                                )
-                            else:
-                                placed = graph_2.max_outgoing_weight(
-                                    source_image, unmapped_set
-                                )
-                            placed_out_cache[source_image] = placed
-                    elif target_image is not None:
-                        placed = placed_in_cache.get(target_image)
-                        if placed is None:
-                            if fast:
-                                placed = caps.max_incoming_excluding(
-                                    target_image, mapped_values
-                                )
-                            else:
-                                placed = graph_2.max_incoming_weight(
-                                    target_image, unmapped_set
-                                )
-                            placed_in_cache[target_image] = placed
-                    else:
-                        continue
-                    if placed < edge_component:
-                        edge_component = placed
-                        if edge_component == 0.0:
-                            break
-                frequency_cap = min(vertex_cap, omega * edge_component)
-            else:
-                frequency_cap = vertex_cap
+                    image = mapping[end]
+                    placed = placed_in_cache.get(image)
+                    if placed is None:
+                        if fast:
+                            placed = caps.max_incoming_excluding(
+                                image, mapped_values
+                            )
+                        else:
+                            placed = graph_2.max_incoming_weight(
+                                image, unmapped_set
+                            )
+                        placed_in_cache[image] = placed
+                if placed < edge_component:
+                    edge_component = placed
+                    if edge_component == 0.0:
+                        break
+            shape_caps.append(min(vertex_cap, omega * edge_component))
 
-            if frequency_cap <= frequency_1:
-                total += frequency_similarity(frequency_1, frequency_cap)
+        total = 0.0
+        for frequency_1, shape in plan.rows:
+            cap = shape_caps[shape]
+            # frequency_similarity(f1, cap) inlined for f1 > 0 and
+            # cap <= f1: the same operations on the same operands.
+            if cap <= frequency_1:
+                total += 1.0 - (frequency_1 - cap) / (frequency_1 + cap)
             else:
                 total += 1.0
         return total

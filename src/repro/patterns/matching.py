@@ -125,6 +125,10 @@ class PatternFrequencyEvaluator:
         # structurally equal patterns (and the same pattern renamed to the
         # same targets) share one entry.
         self._frequency_memo: dict[frozenset[tuple[Event, ...]], float] = {}
+        #: Bumped whenever the memo is dropped, so callers memoizing on
+        #: top of it (the score model's contribution memo) know to drop
+        #: theirs too.
+        self.memo_epoch = 0
         self.evaluations = 0  # trace scans actually performed
 
     @property
@@ -162,6 +166,26 @@ class PatternFrequencyEvaluator:
     def clear_cache(self) -> None:
         """Drop memoized frequencies (used by ablation benchmarks)."""
         self._frequency_memo.clear()
+        self.memo_epoch += 1
+
+    def hit_replay(self):
+        """What a memo hit answered outside this evaluator must still do.
+
+        A caller memoizing on top of this evaluator (the score model's
+        contribution memo, valid within one :attr:`memo_epoch`) calls the
+        returned function on each hit, so the hit has the effects a
+        repeated :meth:`mapped_frequency` call would have had: raise
+        :class:`StaleIndexError` on an appended-to log, and report the
+        cache hit to the probe.  ``None`` when there is nothing to do.
+        """
+        if self._log.generation != self._generation or self._probe.enabled:
+            return self._replay_hit
+        return None
+
+    def _replay_hit(self) -> None:
+        self._check_fresh()
+        if self._probe.enabled:
+            self._probe.on_frequency_eval(cache_hit=True)
 
     def refresh(self) -> None:
         """Re-sync with an appended-to log.
@@ -177,17 +201,21 @@ class PatternFrequencyEvaluator:
         else:
             self._index.refresh()
         self._frequency_memo.clear()
+        self.memo_epoch += 1
         self._generation = self._log.generation
 
-    def _frequency_of_orders(
-        self, orders: frozenset[tuple[Event, ...]]
-    ) -> float:
+    def _check_fresh(self) -> None:
         if self._log.generation != self._generation:
             raise StaleIndexError(
                 f"frequency evaluator synced at generation "
                 f"{self._generation} but log {self._log.name!r} is at "
                 f"generation {self._log.generation}; call refresh()"
             )
+
+    def _frequency_of_orders(
+        self, orders: frozenset[tuple[Event, ...]]
+    ) -> float:
+        self._check_fresh()
         probe = self._probe
         cached = self._frequency_memo.get(orders)
         if cached is not None:
